@@ -26,7 +26,6 @@
 //! | §4.5 per-AS damage localization | [`as_police`] |
 //! | §4.5 / \[26\] Passport source authentication | [`passport`] |
 //! | Appendix B multi-bottleneck extensions | [`multi`] |
-//! | §7 congestion quota | [`congestion_quota`] |
 //! | Figure 3 parameters | [`config`] |
 //!
 //! ## Quick example
@@ -60,7 +59,6 @@ pub mod aimd;
 pub mod as_police;
 pub mod bottleneck;
 pub mod config;
-pub mod congestion_quota;
 pub mod endpoint;
 pub mod feedback;
 pub mod header;

@@ -51,7 +51,6 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod sweep;
-pub mod topo;
 pub mod topo_scale;
 pub mod tournament;
 

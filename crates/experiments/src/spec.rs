@@ -391,12 +391,6 @@ impl DefenseSpec {
         }
     }
 
-    /// Override the NetFence protocol configuration.
-    pub fn with_config(mut self, cfg: Config) -> Self {
-        self.netfence = cfg;
-        self
-    }
-
     /// Give NetFence's installed AS keys a TTL (0 = permanent). Nonzero
     /// turns on the periodic key re-announcements a rebooted router
     /// recovers through.
@@ -408,12 +402,6 @@ impl DefenseSpec {
     /// Override the suppression policy.
     pub fn with_suppression(mut self, s: Suppression) -> Self {
         self.suppression = s;
-        self
-    }
-
-    /// Override the deployment extent.
-    pub fn with_deployment(mut self, d: DeploymentSpec) -> Self {
-        self.deployment = d;
         self
     }
 

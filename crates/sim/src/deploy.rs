@@ -12,19 +12,19 @@
 //! * a [`Deployment`] holds dense per-node agents — one optional
 //!   [`HostShim`] per host node, one optional [`RouterAgent`] per router
 //!   node — plus a per-link [`QueueFactory`] and a [`ControlPlane`] message
-//!   bus for out-of-band coordination (Passport key exchange, StopIt filter
+//!   bus for out-of-band coordination, whose messages are the closed
+//!   [`ControlPayload`] set (Passport key announcements, StopIt filter
 //!   requests);
 //! * nodes *without* an agent are legacy nodes: their hosts send plain
 //!   packets and their routers forward blindly, which is how partial
 //!   (incremental) deployment scenarios are expressed;
 //! * after a run, [`Deployment::report`] merges every agent's counters into
-//!   one typed [`DefenseReport`] — there is no downcasting to inspect
-//!   defense-specific state.
+//!   one typed [`DefenseReport`]: defense-specific state is read through
+//!   its fields, never by casting an agent to its concrete type.
 //!
 //! The engine indexes agents by dense node id and links by dense link
 //! index, so the per-packet fast path never hashes.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -75,7 +75,31 @@ pub enum Endpoint {
     Router(NodeId),
 }
 
+/// The out-of-band messages a deployment can send. The set is closed:
+/// agents match on it and ignore the variants they do not handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ControlPayload {
+    /// A Passport key announcement (§4.4): the announcing AS and its
+    /// Diffie–Hellman public value. Every deployed NetFence router derives
+    /// the pairwise AES key from it.
+    KeyAnnouncement {
+        /// The announcing AS.
+        asn: AsNum,
+        /// Its public Diffie–Hellman value.
+        public_value: u64,
+    },
+    /// A StopIt filter request: block `src → dst` at the source's access
+    /// router.
+    FilterRequest {
+        /// The source to filter.
+        src: HostAddr,
+        /// The destination asking for the filter.
+        dst: HostAddr,
+    },
+}
+
 /// One queued control-plane message.
+#[derive(Debug)]
 pub struct ControlMsg {
     /// Destination agent.
     pub to: Endpoint,
@@ -83,15 +107,8 @@ pub struct ControlMsg {
     /// hook; `None` for deploy-time (controller-origin) messages. Transports
     /// use this to locate the sender's AS.
     pub from: Option<Endpoint>,
-    /// Type-erased payload; the receiving agent downcasts to the message
-    /// types it understands and ignores the rest.
-    pub payload: Box<dyn Any>,
-}
-
-impl std::fmt::Debug for ControlMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ControlMsg {{ to: {:?}, from: {:?} }}", self.to, self.from)
-    }
+    /// The message itself.
+    pub payload: ControlPayload,
 }
 
 /// The transport's decision for one control-plane message.
@@ -181,11 +198,6 @@ impl ControlPlane {
         self.channel = Some(channel);
     }
 
-    /// Whether a transport is installed.
-    pub fn has_channel(&self) -> bool {
-        self.channel.is_some()
-    }
-
     /// Record which agent's hook is currently running, so queued messages
     /// carry their origin. The engine maintains this; agents never call it.
     pub fn set_sender(&mut self, sender: Option<Endpoint>) {
@@ -203,13 +215,13 @@ impl ControlPlane {
 
     /// Queue a message to the shim of host `host`. Returns false when the
     /// address is unknown.
-    pub fn to_host(&mut self, host: HostAddr, payload: impl Any) -> bool {
+    pub fn to_host(&mut self, host: HostAddr, payload: ControlPayload) -> bool {
         match self.host_node.get(&host) {
             Some(&node) => {
                 self.outbox.push(ControlMsg {
                     to: Endpoint::Host(node),
                     from: self.sender,
-                    payload: Box::new(payload),
+                    payload,
                 });
                 true
             }
@@ -218,24 +230,20 @@ impl ControlPlane {
     }
 
     /// Queue a message to the router agent at `node`.
-    pub fn to_router(&mut self, node: NodeId, payload: impl Any) {
-        self.outbox.push(ControlMsg {
-            to: Endpoint::Router(node),
-            from: self.sender,
-            payload: Box::new(payload),
-        });
+    pub fn to_router(&mut self, node: NodeId, payload: ControlPayload) {
+        self.outbox.push(ControlMsg { to: Endpoint::Router(node), from: self.sender, payload });
     }
 
     /// Queue a message to the access router of `host` (how StopIt filter
     /// requests find the router nearest the source). Returns false when the
     /// host has no access router.
-    pub fn to_access_router_of(&mut self, host: HostAddr, payload: impl Any) -> bool {
+    pub fn to_access_router_of(&mut self, host: HostAddr, payload: ControlPayload) -> bool {
         match self.access_router.get(&host) {
             Some(&node) => {
                 self.outbox.push(ControlMsg {
                     to: Endpoint::Router(node),
                     from: self.sender,
-                    payload: Box::new(payload),
+                    payload,
                 });
                 true
             }
@@ -277,7 +285,7 @@ pub trait HostShim: std::fmt::Debug {
     fn on_receive(&mut self, _now: Nanos, _pkt: &Packet, _ctl: &mut ControlPlane) {}
 
     /// A control-plane message addressed to this host arrived.
-    fn on_control(&mut self, _now: Nanos, _msg: Box<dyn Any>, _ctl: &mut ControlPlane) {}
+    fn on_control(&mut self, _now: Nanos, _msg: ControlPayload, _ctl: &mut ControlPlane) {}
 
     /// Periodic housekeeping, every `defense_tick`.
     fn tick(&mut self, _now: Nanos, _ctl: &mut ControlPlane) {}
@@ -346,7 +354,7 @@ pub trait RouterAgent: std::fmt::Debug {
     fn on_link_drop(&mut self, _now: Nanos, _link: LinkRef, _pkt: &Packet) {}
 
     /// A control-plane message addressed to this router arrived.
-    fn on_control(&mut self, _now: Nanos, _msg: Box<dyn Any>, _ctl: &mut ControlPlane) {}
+    fn on_control(&mut self, _now: Nanos, _msg: ControlPayload, _ctl: &mut ControlPlane) {}
 
     /// Periodic housekeeping (control-interval AIMD, detection EWMAs, …).
     fn tick(&mut self, _now: Nanos, _ctl: &mut ControlPlane) {}
@@ -599,8 +607,7 @@ impl DeployMap {
 // ---------------------------------------------------------------------------
 
 /// The typed post-run summary of a deployment, merged from every agent's
-/// counters. This replaces the old `as_any()` downcast paths: the fields a
-/// given defense does not use simply stay zero.
+/// counters. The fields a given defense does not use simply stay zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DefenseReport {
     /// Short defense name ("netfence", "tva+", "stopit", "fq", "none").
@@ -934,9 +941,10 @@ mod tests {
     fn control_plane_addresses_hosts_and_access_routers() {
         let net = net();
         let mut bus = ControlPlane::for_network(&net);
-        assert!(bus.to_host(0x101, 7u32));
-        assert!(!bus.to_host(0xdead, 7u32));
-        assert!(bus.to_access_router_of(0x201, "filter"));
+        let msg = ControlPayload::FilterRequest { src: 0x201, dst: 0x101 };
+        assert!(bus.to_host(0x101, msg));
+        assert!(!bus.to_host(0xdead, msg));
+        assert!(bus.to_access_router_of(0x201, msg));
         let msgs = bus.take_outbox();
         assert_eq!(msgs.len(), 2);
         assert!(matches!(msgs[0].to, Endpoint::Host(_)));

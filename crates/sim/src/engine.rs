@@ -43,6 +43,10 @@ use crate::queue::{DropTail, QueueDisc, RedQueue};
 use crate::time::{transmission_time, Nanos, MILLI, SEC};
 use crate::topology::{Network, NodeId, QueueKind};
 
+/// How long an idle link waits before re-asking a queue that withheld its
+/// packets (strictly capped request channels).
+const LINK_POLL_INTERVAL: Nanos = 2 * MILLI;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -50,11 +54,6 @@ pub struct SimConfig {
     pub end_time: Nanos,
     /// Interval between agent `tick` calls.
     pub defense_tick: Nanos,
-    /// How long an idle link waits before re-asking a queue that withheld
-    /// its packets (strictly capped request channels). Smaller values cost
-    /// more events but release capped traffic sooner; tiny-scale tests can
-    /// shrink it to tighten timing.
-    pub link_poll_interval: Nanos,
     /// Seed recorded for reproducibility (the engine itself is
     /// deterministic; flows draw their randomness from their own seeded
     /// generators).
@@ -76,7 +75,6 @@ impl Default for SimConfig {
         SimConfig {
             end_time: 10 * SEC,
             defense_tick: 100 * MILLI,
-            link_poll_interval: 2 * MILLI,
             seed: 1,
             sample_interval: 0,
             telemetry: TelemetryConfig::default(),
@@ -340,16 +338,6 @@ impl Simulator {
     /// Progress counters of one flow.
     pub fn progress(&self, flow: FlowId) -> FlowProgress {
         self.flows[flow].progress()
-    }
-
-    /// Progress counters of every flow, indexed by flow id.
-    pub fn all_progress(&self) -> Vec<FlowProgress> {
-        self.flows.iter().map(|f| f.progress()).collect()
-    }
-
-    /// Source and destination of a flow.
-    pub fn flow_endpoints(&self, flow: FlowId) -> (u32, u32) {
-        (self.flows[flow].src(), self.flows[flow].dst())
     }
 
     /// Per-flow goodput samples: one `(time, delivered_bytes per flow id)`
@@ -810,8 +798,7 @@ impl Simulator {
             None => {
                 if self.links[link_idx].queue.len_pkts() > 0 && !self.links[link_idx].poll_pending {
                     self.links[link_idx].poll_pending = true;
-                    let poll = self.cfg.link_poll_interval.max(1);
-                    self.schedule(now + poll, EventKind::LinkPoll { link: link_idx });
+                    self.schedule(now + LINK_POLL_INTERVAL, EventKind::LinkPoll { link: link_idx });
                 }
             }
         }
@@ -858,7 +845,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{ControlPlane, Deployment, HostShim, RouterAgent};
+    use crate::deploy::{ControlPayload, ControlPlane, Deployment, HostShim, RouterAgent};
     use crate::rng::SimRng;
     use crate::tcp::{TcpConfig, TcpFlow, TcpWorkload};
     use crate::topology::QueueKind;
@@ -1053,9 +1040,10 @@ mod tests {
         struct Pinger;
         impl HostShim for Pinger {
             fn on_send(&mut self, _now: Nanos, pkt: &mut Packet, ctl: &mut ControlPlane) {
-                ctl.to_access_router_of(pkt.src, "ping");
+                let msg = ControlPayload::FilterRequest { src: pkt.src, dst: pkt.dst };
+                ctl.to_access_router_of(pkt.src, msg);
                 // And one message to a legacy host that has no shim.
-                ctl.to_host(HOST_B, "void");
+                ctl.to_host(HOST_B, msg);
             }
         }
         #[derive(Debug, Default)]
@@ -1063,13 +1051,8 @@ mod tests {
             pings: u64,
         }
         impl RouterAgent for Counter {
-            fn on_control(
-                &mut self,
-                _now: Nanos,
-                msg: Box<dyn std::any::Any>,
-                _ctl: &mut ControlPlane,
-            ) {
-                if msg.downcast_ref::<&str>() == Some(&"ping") {
+            fn on_control(&mut self, _now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+                if matches!(msg, ControlPayload::FilterRequest { src: HOST_A, .. }) {
                     self.pings += 1;
                 }
             }
@@ -1126,14 +1109,6 @@ mod tests {
         assert_eq!((off.3, off.4), (0, 0));
         assert!(on.3 > 0, "flight recorder captured nothing");
         assert!(on.4 > 0, "timeline captured nothing");
-    }
-
-    #[test]
-    fn link_poll_interval_is_configurable() {
-        let cfg = SimConfig::default();
-        assert_eq!(cfg.link_poll_interval, 2 * MILLI);
-        let tight = SimConfig { link_poll_interval: 100, ..Default::default() };
-        assert_eq!(tight.link_poll_interval, 100);
     }
 
     #[test]

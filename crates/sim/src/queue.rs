@@ -192,11 +192,6 @@ impl RedQueue {
         self.prng = x;
         (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// The current average queue estimate in bytes.
-    pub fn avg_bytes(&self) -> f64 {
-        self.avg
-    }
 }
 
 impl QueueDisc for RedQueue {
@@ -597,8 +592,6 @@ pub struct DualChannelQueue {
     request_burst: f64,
     /// Last token refill time.
     last_refill: Nanos,
-    served_request: u64,
-    served_total: u64,
 }
 
 impl DualChannelQueue {
@@ -621,19 +614,12 @@ impl DualChannelQueue {
             request_tokens: 2.0 * 1500.0 * 8.0,
             request_burst: (2.0 * 1500.0 * 8.0f64).max(rate * 0.05),
             last_refill: 0,
-            served_request: 0,
-            served_total: 0,
         }
     }
 
     /// Immutable access to the regular channel (for congestion inspection).
     pub fn regular(&self) -> &dyn QueueDisc {
         self.regular.as_ref()
-    }
-
-    /// Bytes served from the request channel so far.
-    pub fn served_request_bytes(&self) -> u64 {
-        self.served_request
     }
 
     fn refill(&mut self, now: Nanos) {
@@ -670,9 +656,7 @@ impl QueueDisc for DualChannelQueue {
             None
         };
         if let Some(p) = &pkt {
-            self.served_total += p.size as u64;
             if p.channel == ChannelClass::Request {
-                self.served_request += p.size as u64;
                 self.request_tokens -= p.size as f64 * 8.0;
             }
         }

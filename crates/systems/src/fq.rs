@@ -14,22 +14,17 @@ use netfence_sim::deploy::{DefenseFactory, Deployment, DeploymentSpec, QueueFact
 use netfence_sim::queue::{Classifier, DrrQueue, QueueDisc};
 use netfence_sim::topology::{LinkSpec, Network};
 
+/// Byte limit of each per-sender queue.
+const PER_SENDER_LIMIT: usize = 30_000;
+
 /// The per-sender DRR fair-queuing factory.
 #[derive(Debug, Default)]
-pub struct FairQueuingDefense {
-    /// Byte limit of each per-sender queue.
-    per_sender_limit: usize,
-}
+pub struct FairQueuingDefense;
 
 impl FairQueuingDefense {
-    /// Create the baseline with a default 30 kB per-sender backlog limit.
+    /// Create the baseline with a 30 kB per-sender backlog limit.
     pub fn new() -> Self {
-        FairQueuingDefense { per_sender_limit: 30_000 }
-    }
-
-    /// Override the per-sender backlog limit.
-    pub fn with_per_sender_limit(limit: usize) -> Self {
-        FairQueuingDefense { per_sender_limit: limit }
+        FairQueuingDefense
     }
 }
 
@@ -49,7 +44,7 @@ impl DefenseFactory for FairQueuingDefense {
             .collect();
         let mut builder = Deployment::builder(net, "fq");
         builder.ases(map.ases.len(), map.total_ases);
-        builder.queues(Box::new(FqQueues { per_sender_limit: self.per_sender_limit, links }));
+        builder.queues(Box::new(FqQueues { links }));
         builder.build()
     }
 }
@@ -57,14 +52,13 @@ impl DefenseFactory for FairQueuingDefense {
 /// Per-sender DRR on every deployed link.
 #[derive(Debug)]
 struct FqQueues {
-    per_sender_limit: usize,
     links: Vec<usize>,
 }
 
 impl QueueFactory for FqQueues {
     fn make_queue(&mut self, link_index: usize, _spec: &LinkSpec) -> Option<Box<dyn QueueDisc>> {
         if self.links.binary_search(&link_index).is_ok() {
-            Some(Box::new(DrrQueue::new(Classifier::BySource, 1500, self.per_sender_limit)))
+            Some(Box::new(DrrQueue::new(Classifier::BySource, 1500, PER_SENDER_LIMIT)))
         } else {
             None
         }

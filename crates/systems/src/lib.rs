@@ -34,6 +34,6 @@ pub mod tva;
 pub use attacker::{legitimate_priority_after, strategic_request_priority};
 pub use fq::FairQueuingDefense;
 pub use headers::{NetFenceExt, TvaExt};
-pub use netfence::{KeyAnnouncement, NetFenceDefense};
-pub use stopit::{FilterRequest, StopItDefense};
+pub use netfence::NetFenceDefense;
+pub use stopit::StopItDefense;
 pub use tva::TvaDefense;

@@ -21,7 +21,8 @@
 //!
 //! The Passport-style pairwise AS keys are established over the
 //! deployment's [`ControlPlane`] bus: at deploy time every deploying AS
-//! posts a [`KeyAnnouncement`] (its Diffie–Hellman public value) to every
+//! posts a [`ControlPayload::KeyAnnouncement`] (its Diffie–Hellman public
+//! value) to every
 //! deployed router agent, which derives and installs the shared key — the
 //! BGP-piggybacked exchange of §4.4, in message form. With
 //! [`NetFenceDefense::key_ttl`] set, installed keys lapse unless the
@@ -44,8 +45,8 @@ use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
 use netfence_crypto::AsKeyAgent;
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
-    ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
-    QueueFactory, RouterAction, RouterAgent, RouterFault,
+    ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
+    HostShim, LinkRef, QueueFactory, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{AsNum, ChannelClass, Extension, HostAddr, Packet, Protocol};
 use netfence_sim::prelude::{DropCause, Timeline};
@@ -55,25 +56,11 @@ use netfence_sim::topology::{LinkSpec, Network, NodeId};
 
 use crate::headers::NetFenceExt;
 
-/// A Passport key announcement carried on the control-plane bus: the
-/// announcing AS and its Diffie–Hellman public value. Every deployed router
-/// derives the pairwise AES key from it (§4.4).
-#[derive(Debug, Clone, Copy)]
-pub struct KeyAnnouncement {
-    /// The announcing AS.
-    pub asn: AsNum,
-    /// Its public Diffie–Hellman value.
-    pub public_value: u64,
-}
-
 /// The NetFence defense factory: protocol parameters plus the per-host
 /// policies (suppression, priority overrides) applied when deploying.
 #[derive(Debug)]
 pub struct NetFenceDefense {
     cfg: Config,
-    /// Hosts whose receivers suppress feedback by default (victims with a
-    /// whitelist).
-    deny_by_default: Vec<HostAddr>,
     /// (receiver, sender) pairs the receiver classifies as unwanted.
     suppressed: Vec<(HostAddr, HostAddr)>,
     /// Fixed request-priority override for (attacker) hosts.
@@ -91,19 +78,12 @@ impl NetFenceDefense {
     pub fn new(cfg: Config) -> Self {
         NetFenceDefense {
             cfg,
-            deny_by_default: Vec::new(),
             suppressed: Vec::new(),
             priority_override: HashMap::new(),
             as_policing_mode: None,
             key_ttl: 0,
             seed: 0x4E46_4E46,
         }
-    }
-
-    /// Make a receiver suppress feedback for every sender not explicitly
-    /// whitelisted (a victim with a whitelist).
-    pub fn deny_all_senders(&mut self, receiver: HostAddr) {
-        self.deny_by_default.push(receiver);
     }
 
     /// Configure a receiver to suppress feedback for a specific sender
@@ -125,7 +105,7 @@ impl NetFenceDefense {
 
     /// Make installed pairwise AS keys lapse after `ttl` without a refresh
     /// (0 restores the legacy permanent keys). Each deploying AS's
-    /// designated announcer re-posts its [`KeyAnnouncement`] every
+    /// designated announcer re-posts its key announcement every
     /// `ttl / 2` over the control plane.
     pub fn key_ttl(&mut self, ttl: Nanos) {
         self.key_ttl = ttl;
@@ -251,11 +231,7 @@ impl DefenseFactory for NetFenceDefense {
             if !map.as_deployed(net.as_of_host(host)) {
                 continue;
             }
-            let mut receiver = if self.deny_by_default.contains(&host) {
-                ReceiverShim::deny_by_default()
-            } else {
-                ReceiverShim::default()
-            };
+            let mut receiver = ReceiverShim::default();
             for &(r, s) in &self.suppressed {
                 if r == host {
                     receiver.set_policy(HostId(s), ReceiverPolicy::Suppress);
@@ -279,7 +255,7 @@ impl DefenseFactory for NetFenceDefense {
         // installs the pairwise keys in `on_control`.
         for &asn in &map.ases {
             let agent = self.key_agent(asn);
-            let ann = KeyAnnouncement { asn, public_value: agent.public_value() };
+            let ann = ControlPayload::KeyAnnouncement { asn, public_value: agent.public_value() };
             for &node in &agent_nodes {
                 deployment.bus.to_router(node, ann);
             }
@@ -619,15 +595,15 @@ impl RouterAgent for NetFenceRouterAgent {
         }
     }
 
-    fn on_control(&mut self, now: Nanos, msg: Box<dyn std::any::Any>, _ctl: &mut ControlPlane) {
-        let Some(ann) = msg.downcast_ref::<KeyAnnouncement>() else { return };
-        self.keys.insert(now, ann.asn);
-        let key = self.key_agent.shared_key(ann.asn, ann.public_value);
+    fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+        let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
+        self.keys.insert(now, asn);
+        let key = self.key_agent.shared_key(asn, public_value);
         if let Some(access) = self.access.as_mut() {
-            access.install_as_key(AsId(ann.asn), key);
+            access.install_as_key(AsId(asn), key);
         }
         for (_, bl) in self.bottlenecks.iter_mut() {
-            bl.install_as_key(AsId(ann.asn), key);
+            bl.install_as_key(AsId(asn), key);
         }
     }
 
@@ -658,7 +634,8 @@ impl RouterAgent for NetFenceRouterAgent {
         if let Some(a) = self.announcer.as_mut() {
             if now >= a.last + a.interval {
                 a.last = now;
-                let ann = KeyAnnouncement { asn: a.asn, public_value: a.public_value };
+                let ann =
+                    ControlPayload::KeyAnnouncement { asn: a.asn, public_value: a.public_value };
                 for &peer in &a.peers {
                     ctl.to_router(peer, ann);
                 }
@@ -690,7 +667,10 @@ impl RouterAgent for NetFenceRouterAgent {
                 // and no announcers exist).
                 if let Some(a) = self.announcer.as_mut() {
                     a.last = now;
-                    let ann = KeyAnnouncement { asn: a.asn, public_value: a.public_value };
+                    let ann = ControlPayload::KeyAnnouncement {
+                        asn: a.asn,
+                        public_value: a.public_value,
+                    };
                     for &peer in &a.peers {
                         ctl.to_router(peer, ann);
                     }

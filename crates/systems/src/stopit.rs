@@ -4,7 +4,8 @@
 //! StopIt is a filter-based defense: a targeted victim that can identify
 //! attack traffic asks the network to block the (source, destination) pair
 //! close to the source. In this deployment model the victim's host shim
-//! sends a [`FilterRequest`] over the control-plane bus to the *source's
+//! sends a [`ControlPayload::FilterRequest`] over the control-plane bus to
+//! the *source's
 //! access router*, whose agent installs the filter — the closed-loop
 //! StopIt protocol collapsed to one reliable message. When the source's AS
 //! has not deployed (no agent at its access router), the request is
@@ -25,24 +26,14 @@ use std::collections::{BTreeSet, HashMap};
 
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
-    ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
-    QueueFactory, RouterAction, RouterAgent, RouterFault,
+    ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
+    HostShim, LinkRef, QueueFactory, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, Timeline};
 use netfence_sim::queue::{HierDrrQueue, QueueDisc};
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
-
-/// A control-plane request to block `src → dst` at the source's access
-/// router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilterRequest {
-    /// The sender to block.
-    pub src: HostAddr,
-    /// The destination filing the filter.
-    pub dst: HostAddr,
-}
 
 /// The StopIt defense factory.
 #[derive(Debug, Default)]
@@ -54,8 +45,6 @@ pub struct StopItDefense {
     /// BTreeSet: deploy() sweeps this per host, and per-host shim state
     /// must never depend on hash order.
     whitelist: BTreeSet<(HostAddr, HostAddr)>,
-    /// Filters to pre-install at deploy time.
-    preinstalled: Vec<FilterRequest>,
     /// Whether inter-router links use the hierarchical fair-queuing
     /// fallback.
     hierarchical_fallback: bool,
@@ -82,12 +71,6 @@ impl StopItDefense {
     /// Whitelist a sender at a victim.
     pub fn allow(&mut self, victim: HostAddr, sender: HostAddr) {
         self.whitelist.insert((sender, victim));
-    }
-
-    /// Pre-install a filter blocking `src → dst` (sent over the bus at
-    /// deploy time).
-    pub fn install_filter(&mut self, src: HostAddr, dst: HostAddr) {
-        self.preinstalled.push(FilterRequest { src, dst });
     }
 
     /// Make installed filters lapse after `ttl` without a refresh
@@ -158,11 +141,7 @@ impl DefenseFactory for StopItDefense {
             );
         }
 
-        let mut deployment = builder.build();
-        for &req in &self.preinstalled {
-            deployment.bus.to_access_router_of(req.src, req);
-        }
-        deployment
+        builder.build()
     }
 }
 
@@ -218,13 +197,14 @@ impl HostShim for StopItHostShim {
             && !self.whitelist.contains(&pkt.src)
             && self.should_request(now, pkt.src)
         {
-            ctl.to_access_router_of(pkt.src, FilterRequest { src: pkt.src, dst: pkt.dst });
+            let req = ControlPayload::FilterRequest { src: pkt.src, dst: pkt.dst };
+            ctl.to_access_router_of(pkt.src, req);
         }
     }
 }
 
 /// The StopIt agent of one deployed router: the TTL'd filter store
-/// populated by [`FilterRequest`] messages.
+/// populated by [`ControlPayload::FilterRequest`] messages.
 #[derive(Debug)]
 struct StopItRouterAgent {
     filters: PolicyStore<(HostAddr, HostAddr)>,
@@ -253,9 +233,9 @@ impl RouterAgent for StopItRouterAgent {
         out.record(now, "filtered_drops", "stopit".to_string(), self.filtered_drops as f64);
     }
 
-    fn on_control(&mut self, now: Nanos, msg: Box<dyn std::any::Any>, _ctl: &mut ControlPlane) {
-        if let Some(req) = msg.downcast_ref::<FilterRequest>() {
-            self.filters.insert(now, (req.src, req.dst));
+    fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+        if let ControlPayload::FilterRequest { src, dst } = msg {
+            self.filters.insert(now, (src, dst));
         }
     }
 

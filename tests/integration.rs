@@ -2,6 +2,7 @@
 //! crates: small packet-level simulations asserting the paper's qualitative
 //! claims.
 
+use netfence_core::as_police::AsPolicingMode;
 use netfence_core::config::Config;
 use netfence_sim::prelude::*;
 use netfence_systems::NetFenceDefense;
@@ -121,4 +122,65 @@ fn bottleneck_state_is_not_per_host() {
     // bottleneck.
     assert!(report.rate_limiters >= 2);
     assert!(report.rate_limiters <= 16);
+}
+
+/// §4.5 per-AS damage localization: AS 1 floods a shared 1 Mbps bottleneck
+/// with two senders, AS 2 with one. With per-AS policing on the bottleneck
+/// the policer drops AS 1's excess, the drop budget carries exactly the
+/// policer drops the report counts, and AS 2's sender delivers more than
+/// with policing off.
+#[test]
+fn as_policing_localizes_damage_to_the_flooding_as() {
+    const AS1_A: u32 = 0x0a_00_01_01;
+    const AS1_B: u32 = 0x0a_00_01_02;
+    const AS2_A: u32 = 0x0a_00_02_01;
+    const SINK_A: u32 = 0x0b_00_03_01;
+    const SINK_B: u32 = 0x0b_00_03_02;
+    const SINK_C: u32 = 0x0b_00_03_03;
+    const END: Nanos = 60 * SEC;
+
+    // Returns (policer drops, AsPolicer budget, AS 2 sender's delivered bytes).
+    let run = |mode: Option<AsPolicingMode>| -> (u64, u64, u64) {
+        let mut b = Network::builder();
+        let r1 = b.router(1, true);
+        let r2 = b.router(2, true);
+        let core = b.router(100, false);
+        let r3 = b.router(3, true);
+        b.duplex(r1, core, 100_000_000, 10 * MILLI, QueueKind::Red);
+        b.duplex(r2, core, 100_000_000, 10 * MILLI, QueueKind::Red);
+        b.duplex(core, r3, 1_000_000, 10 * MILLI, QueueKind::Red);
+        b.host(AS1_A, 1, r1, 100_000_000, MILLI);
+        b.host(AS1_B, 1, r1, 100_000_000, MILLI);
+        b.host(AS2_A, 2, r2, 100_000_000, MILLI);
+        for sink in [SINK_A, SINK_B, SINK_C] {
+            b.host(sink, 3, r3, 100_000_000, MILLI);
+        }
+        let net = b.build();
+        let mut defense = NetFenceDefense::new(Config::short_timers());
+        if let Some(mode) = mode {
+            defense.enable_as_policing(mode);
+        }
+        let deployment = defense.deploy(&net, &DeploymentSpec::full());
+        let mut sim =
+            Simulator::new(net, deployment, SimConfig { end_time: END, ..Default::default() });
+        sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, AS1_A, SINK_A, 2_000_000)));
+        sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, AS1_B, SINK_B, 2_000_000)));
+        let as2 = sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, AS2_A, SINK_C, 2_000_000)));
+        sim.run();
+        let report = sim.report();
+        (
+            report.as_policer_drops,
+            report.drop_budget.get(DropCause::AsPolicer),
+            sim.progress(as2).delivered_bytes,
+        )
+    };
+
+    let (off_drops, _, off_as2) = run(None);
+    assert_eq!(off_drops, 0, "no policer is installed without AS policing");
+    for mode in [AsPolicingMode::FairShare, AsPolicingMode::HeavyHitter { factor_x100: 150 }] {
+        let (drops, budget, as2) = run(Some(mode));
+        assert!(drops > 0, "{mode:?}: the per-AS policer never dropped");
+        assert_eq!(budget, drops, "{mode:?}: drop budget disagrees with the report");
+        assert!(as2 > off_as2, "{mode:?}: AS 2 delivered {as2} B, unpoliced {off_as2} B");
+    }
 }

@@ -5,6 +5,7 @@ use netfence_core::feedback::{Action, Feedback};
 use netfence_core::header::NetFenceHeader;
 use netfence_core::passport::PASSPORT_HEADER_LEN;
 use netfence_core::prelude::*;
+use netfence_sim::queue::RedParams;
 
 #[test]
 fn figure3_parameters() {
@@ -16,6 +17,17 @@ fn figure3_parameters() {
     assert!((cfg.loss_threshold - 0.02).abs() < 1e-12);
     assert!((cfg.request_channel_fraction - 0.05).abs() < 1e-12);
     assert!(cfg.validate().is_empty());
+
+    // The queue rows of Figure 3 live in the simulator's RED parameters.
+    // 10 Mbps keeps every threshold above its small-link floor.
+    let capacity_bps = 10_000_000;
+    let red = RedParams::paper_defaults(capacity_bps);
+    let qlim_bytes = (0.2 * capacity_bps as f64 / 8.0) as usize;
+    assert_eq!(red.limit_bytes, qlim_bytes);
+    assert_eq!(red.min_thresh, qlim_bytes / 2);
+    assert_eq!(red.max_thresh, qlim_bytes * 3 / 4);
+    assert!((red.wq - 0.1).abs() < 1e-12);
+    assert!((red.max_p - 0.1).abs() < 1e-12);
 }
 
 #[test]
