@@ -143,19 +143,12 @@ pub enum ReceiverPolicy {
 pub struct ReceiverShim {
     latest: HashMap<HostId, Feedback>,
     policies: HashMap<HostId, ReceiverPolicy>,
-    default_policy: ReceiverPolicy,
 }
 
 impl ReceiverShim {
     /// Create a receiver shim that echoes feedback to everyone by default.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create a receiver that suppresses feedback by default (a victim that
-    /// whitelists known-good senders).
-    pub fn deny_by_default() -> Self {
-        ReceiverShim { default_policy: ReceiverPolicy::Suppress, ..Default::default() }
     }
 
     /// Set the policy for a specific sender (e.g. classify it as attack
@@ -166,7 +159,7 @@ impl ReceiverShim {
 
     /// The policy applied to `sender`.
     pub fn policy(&self, sender: HostId) -> ReceiverPolicy {
-        self.policies.get(&sender).copied().unwrap_or(self.default_policy)
+        self.policies.get(&sender).copied().unwrap_or_default()
     }
 
     /// Record the presented feedback of a packet received from `sender`.
@@ -291,18 +284,6 @@ mod tests {
         r.packet_received(bad, nop(5));
         assert_eq!(r.echo_for(good), Some(nop(5)));
         assert_eq!(r.echo_for(bad), None);
-    }
-
-    #[test]
-    fn deny_by_default_receiver() {
-        let mut r = ReceiverShim::deny_by_default();
-        let known = HostId(1);
-        let unknown = HostId(2);
-        r.set_policy(known, ReceiverPolicy::Echo);
-        r.packet_received(known, nop(5));
-        r.packet_received(unknown, nop(5));
-        assert_eq!(r.echo_for(known), Some(nop(5)));
-        assert_eq!(r.echo_for(unknown), None);
     }
 
     #[test]

@@ -79,16 +79,10 @@ impl MultiFeedback {
     }
 
     /// Append a bottleneck's feedback, extending the MAC chain (Eq. 5).
-    /// Existing entries for the same link are replaced only if the new
-    /// action is `Decr` (a link never downgrades its own `L↓`).
+    /// Every call adds a new entry, even for a link already in `entries`.
     pub fn append(&mut self, kai: &Cmac, flow: FlowPair, link: LinkId, action: Action) {
         self.token = kai.mac32(chain_input(flow, self.ts, link, action, self.token).as_bytes());
         self.entries.push((link, action));
-    }
-
-    /// The action recorded for `link`, if present.
-    pub fn action_for(&self, link: LinkId) -> Option<Action> {
-        self.entries.iter().find(|(l, _)| *l == link).map(|(_, a)| *a)
     }
 
     /// Validate the whole chain at the access router by recomputing it.

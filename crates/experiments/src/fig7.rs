@@ -43,23 +43,22 @@ fn time_per_iter(iters: u64, f: impl FnMut(u64)) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Build the fixture: an access router (AS 1), a bottleneck link (AS 2) and
-/// the keys they share.
-fn fixture() -> (AccessRouter, BottleneckLink, Cmac, FlowPair) {
+/// Build the fixture: an access router (AS 1) and a bottleneck link (AS 2)
+/// that share a key, and one flow between them.
+pub fn fixture() -> (AccessRouter, BottleneckLink, FlowPair) {
     let agents = vec![AsKeyAgent::new(1, 101), AsKeyAgent::new(2, 202)];
     let mut tables = full_mesh_exchange(&agents);
     let t1 = tables.remove(0);
     let t2 = tables.remove(0);
     let mut access = AccessRouter::new(Config::default(), AsId(1), [9u8; 16], t1);
     access.register_link_as(LinkId(500), AsId(2));
-    let kai = t2.get(1).unwrap().clone();
     let bl = BottleneckLink::new(LinkId(500), 10_000_000, t2, Config::default(), 0);
     let flow = FlowPair::new(HostId(0x0a000001), HostId(0x14000001));
-    (access, bl, kai, flow)
+    (access, bl, flow)
 }
 
-/// Force the bottleneck into a monitoring cycle.
-fn drive_into_mon(bl: &mut BottleneckLink) -> Nanos {
+/// Force the bottleneck into a monitoring cycle; returns the time it entered.
+pub fn drive_into_mon(bl: &mut BottleneckLink) -> Nanos {
     let mut now = 0;
     while !bl.in_mon() {
         now += SEC;
@@ -92,13 +91,13 @@ pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
     // --- request packet, bottleneck router ---
     {
         // No attack: the bottleneck does not touch the packet at all.
-        let (_, mut bl, _, flow) = fixture();
+        let (_, mut bl, flow) = fixture();
         let no_attack = time_per_iter(iters, |_| {
             let mut fb = Feedback::Nop { ts: 1, token: 1 };
             let _ = bl.update_feedback(SEC, flow, AsId(1), &mut fb);
         });
         // Attack: stamping L↓ into a 92-byte request packet.
-        let (mut access, mut bl, _, flow) = fixture();
+        let (mut access, mut bl, flow) = fixture();
         let now = drive_into_mon(&mut bl);
         let mut header = NetFenceHeader::request(17, 1, Feedback::Nop { ts: 0, token: 0 });
         access.process_outbound(now, flow, &mut header, 92);
@@ -126,7 +125,7 @@ pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
 
     // --- request packet, access router ---
     {
-        let (mut access, _, _, flow) = fixture();
+        let (mut access, _, flow) = fixture();
         let cost = time_per_iter(iters, |i| {
             let mut header = NetFenceHeader::request(17, 0, Feedback::Nop { ts: 0, token: 0 });
             let _ = access.process_outbound(SEC + i, flow, &mut header, 92);
@@ -142,7 +141,7 @@ pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
 
     // --- regular packet, bottleneck router ---
     {
-        let (mut access, mut bl, _, flow) = fixture();
+        let (mut access, mut bl, flow) = fixture();
         // No attack: untouched.
         let no_attack = time_per_iter(iters, |_| {
             let mut fb = Feedback::Nop { ts: 1, token: 1 };
@@ -180,7 +179,7 @@ pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
     // --- regular packet, access router ---
     {
         // No attack: validate returned nop feedback + stamp a fresh one.
-        let (mut access, _, _, flow) = fixture();
+        let (mut access, _, flow) = fixture();
         let mut header = NetFenceHeader::request(6, 0, Feedback::Nop { ts: 0, token: 0 });
         access.process_outbound(SEC, flow, &mut header, 92);
         let nop = header.presented;
@@ -190,7 +189,7 @@ pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
         });
 
         // Attack: validate mon feedback, run the rate limiter, stamp L↑.
-        let (mut access, mut bl, _, flow) = fixture();
+        let (mut access, mut bl, flow) = fixture();
         let now = drive_into_mon(&mut bl);
         let mut header = NetFenceHeader::request(6, 0, Feedback::Nop { ts: 0, token: 0 });
         access.process_outbound(now, flow, &mut header, 92);

@@ -27,12 +27,12 @@
 //!
 //! ## Figure harnesses
 //!
-//! Each figure has a thin library module (a spec constructor plus a
-//! `Record` → figure-point mapping, used by the integration tests and the
-//! Criterion benches) and a binary (`cargo run -p netfence-experiments
-//! --bin figN`) that prints the figure's rows as a plain-text table. See
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! comparison.
+//! Each figure and sweep has a thin library module (a spec constructor plus
+//! a `Record` → figure-point mapping, used by the integration tests and the
+//! Criterion bench target) and an experiment of the `netfence` binary
+//! (`cargo run --release -p netfence-experiments -- fig8 --quick`) that
+//! prints its rows as a plain-text table. See `EXPERIMENTS.md` at the
+//! repository root for the paper-vs-measured comparison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

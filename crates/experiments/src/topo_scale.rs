@@ -17,8 +17,8 @@
 //!   suppression is forced off so the comparison isolates the data-plane
 //!   cost of the deployed shims, agents and three-channel queues.
 //!
-//! Library entry points are consumed by the `topo_scale` binary, the
-//! Criterion bench of the same name and the integration tests.
+//! Library entry points are consumed by `netfence topo_scale`, the
+//! Criterion bench group of the same name and the integration tests.
 
 use std::time::Instant;
 
